@@ -522,11 +522,6 @@ def _check_mutable_defaults(tree: ast.Module) -> Iterator[tuple[int, str, str]]:
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
-def _collect_files(paths: Iterable[str | Path]) -> list[Path]:
-    """Back-compat alias for :func:`repro.analysis.diagnostics.collect_files`."""
-    return collect_files(paths)
-
-
 def lint_file(
     path: Path, registry: dict[str, str]
 ) -> list[Finding]:

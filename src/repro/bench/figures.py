@@ -31,6 +31,14 @@ from repro.util import KiB, MiB, format_bytes
 
 US = 1e6  # seconds -> microseconds
 
+#: The paper's three victim-selection scores (Figs. 10/11), in column
+#: order: note label -> policy registry name.
+SCORE_POLICIES = {
+    "temporal": "clampi-temporal",
+    "positional": "clampi-positional",
+    "full": "clampi-full",
+}
+
 
 # ----------------------------------------------------------------------
 # Fig. 1 — latency per message size and process/node mapping
@@ -372,11 +380,7 @@ def fig10_fragmentation(
     )
     series = {}
     saturated_mean = {}
-    for policy in (
-        clampi.EvictionPolicy.TEMPORAL,
-        clampi.EvictionPolicy.POSITIONAL,
-        clampi.EvictionPolicy.FULL,
-    ):
+    for label, policy in SCORE_POLICIES.items():
         res = run_micro(
             wl,
             CacheSpec.clampi_fixed(index_entries, storage, policy=policy),
@@ -385,32 +389,23 @@ def fig10_fragmentation(
         occ = res.occupancy
         # start reporting once the buffer first saturates (paper method)
         sat = int(np.argmax(occ > 0.85)) if np.any(occ > 0.85) else len(occ) // 4
-        series[policy] = occ
-        saturated_mean[policy] = float(occ[sat:].mean())
+        series[label] = occ
+        saturated_mean[label] = float(occ[sat:].mean())
     step = max(1, z // checkpoints)
     for i in range(step, z + 1, step):
         fig.rows.append(
-            [
-                i,
-                round(float(series[clampi.EvictionPolicy.TEMPORAL][i - 1]), 3),
-                round(float(series[clampi.EvictionPolicy.POSITIONAL][i - 1]), 3),
-                round(float(series[clampi.EvictionPolicy.FULL][i - 1]), 3),
-            ]
+            [i] + [round(float(series[label][i - 1]), 3) for label in SCORE_POLICIES]
         )
-    for pol, mean in saturated_mean.items():
-        fig.notes.append(f"mean occupancy after saturation [{pol.value}]: {mean:.3f}")
+    for label, mean in saturated_mean.items():
+        fig.notes.append(f"mean occupancy after saturation [{label}]: {mean:.3f}")
     fig.add_claim(
         "Temporal fragments: its occupancy is the lowest of the three",
-        saturated_mean[clampi.EvictionPolicy.TEMPORAL]
-        < min(
-            saturated_mean[clampi.EvictionPolicy.FULL],
-            saturated_mean[clampi.EvictionPolicy.POSITIONAL],
-        ),
+        saturated_mean["temporal"]
+        < min(saturated_mean["full"], saturated_mean["positional"]),
     )
     fig.add_claim(
         "Full and Positional keep occupancy around 85-95% of |S_w|",
-        saturated_mean[clampi.EvictionPolicy.FULL] > 0.8
-        and saturated_mean[clampi.EvictionPolicy.POSITIONAL] > 0.8,
+        saturated_mean["full"] > 0.8 and saturated_mean["positional"] > 0.8,
     )
     return fig
 
@@ -442,41 +437,29 @@ def fig11_victim(
             "free Full",
         ],
     )
-    hits = {p: {} for p in clampi.EvictionPolicy}
+    hits = {label: {} for label in SCORE_POLICIES}
     for h in hash_sizes:
         row: list = [h]
         per_policy = {}
-        for policy in (
-            clampi.EvictionPolicy.TEMPORAL,
-            clampi.EvictionPolicy.POSITIONAL,
-            clampi.EvictionPolicy.FULL,
-        ):
+        for label, policy in SCORE_POLICIES.items():
             res = run_micro(
                 wl, CacheSpec.clampi_fixed(h, storage, policy=policy),
                 record_occupancy=True,
             )
-            per_policy[policy] = res
-            hits[policy][h] = (
+            per_policy[label] = res
+            hits[label][h] = (
                 res.stats["hit_full"]
                 + res.stats["hit_partial"]
                 + res.stats["hit_pending"]
             )
-        full = per_policy[clampi.EvictionPolicy.FULL]
+        full = per_policy["full"]
         evictions = max(full.stats["capacity_evictions"], 1)
         row.append(round(full.stats["eviction_visited"] / evictions, 1))
         row.append(round(full.stats["eviction_nonempty"] / evictions, 1))
-        for policy in (
-            clampi.EvictionPolicy.TEMPORAL,
-            clampi.EvictionPolicy.POSITIONAL,
-            clampi.EvictionPolicy.FULL,
-        ):
-            row.append(hits[policy][h])
-        for policy in (
-            clampi.EvictionPolicy.TEMPORAL,
-            clampi.EvictionPolicy.POSITIONAL,
-            clampi.EvictionPolicy.FULL,
-        ):
-            occ = per_policy[policy].occupancy
+        for label in SCORE_POLICIES:
+            row.append(hits[label][h])
+        for label in SCORE_POLICIES:
+            occ = per_policy[label].occupancy
             row.append(round(1.0 - float(occ[len(occ) // 2 :].mean()), 3))
         fig.rows.append(row)
     visited = [r[1] for r in fig.rows]
@@ -487,11 +470,8 @@ def fig11_victim(
     fig.add_claim(
         "Full achieves the best hit count for every |I_w|",
         all(
-            hits[clampi.EvictionPolicy.FULL][h]
-            >= max(
-                hits[clampi.EvictionPolicy.TEMPORAL][h],
-                hits[clampi.EvictionPolicy.POSITIONAL][h],
-            )
+            hits["full"][h]
+            >= max(hits["temporal"][h], hits["positional"][h])
             - int(0.02 * z)
             for h in hash_sizes
         ),

@@ -15,10 +15,9 @@
 :mod:`repro.core.policy` registry (``"clampi-full"`` — the paper's
 ``R = R_P x R_T`` score — by default; ``"lru"``, ``"slru"``, ``"gdsf"``,
 ``"tinylfu"`` and any user-registered policy are selectable the same
-way).  The legacy ``EvictionPolicy`` enum values are still accepted as
-deprecated aliases (``FULL`` → ``"clampi-full"``, ``TEMPORAL`` →
-``"clampi-temporal"``, ``POSITIONAL`` → ``"clampi-positional"`` — the
-Figs. 10/11 ablations).
+way).  The bare score names ``"full"``/``"temporal"``/``"positional"``
+are accepted as aliases of ``"clampi-full"``/``"clampi-temporal"``/
+``"clampi-positional"`` (the Figs. 10/11 ablations).
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from repro.core.policy import canonical_policy_name
 from repro.util import KiB, MiB
 
 #: MPI_Info key used to enable caching at window creation (Sec. III-A).
@@ -50,19 +50,6 @@ class Mode(Enum):
     TRANSPARENT = "transparent"
     ALWAYS_CACHE = "always_cache"
     USER_DEFINED = "user_defined"
-
-
-class EvictionPolicy(Enum):
-    """Deprecated aliases for the three paper score policies.
-
-    Kept so existing code and the Figs. 10/11 ablations keep working;
-    each value resolves to the registry policy of the same score.  New
-    code should pass the registry name string instead.
-    """
-
-    FULL = "full"              #: alias of "clampi-full" (paper default)
-    TEMPORAL = "temporal"      #: alias of "clampi-temporal" (LRU-like)
-    POSITIONAL = "positional"  #: alias of "clampi-positional"
 
 
 @dataclass(frozen=True)
@@ -116,9 +103,8 @@ class Config:
     storage_bytes: int = 4 * MiB
     mode: Mode = Mode.TRANSPARENT
     #: eviction/admission policy, by repro.core.policy registry name
-    #: (EvictionPolicy enum values are accepted as deprecated aliases and
-    #: normalised to their registry name here)
-    policy: str | EvictionPolicy = "clampi-full"
+    #: (bare score-name aliases are normalised to their registry name here)
+    policy: str = "clampi-full"
     adaptive: bool = False
     adaptive_params: AdaptiveParams = AdaptiveParams()
     sample_size: int = 16        #: M, victim-sample size (Sec. III-D)
@@ -141,12 +127,9 @@ class Config:
     recovery: str = "invalidate"
 
     def __post_init__(self) -> None:
-        # Normalise the policy spec (name / legacy alias / enum) to its
-        # registry name so downstream consumers and snapshots see one
-        # canonical spelling.  Imported lazily: repro.core.policy imports
-        # this module for the EvictionPolicy aliases.
-        from repro.core.policy import canonical_policy_name
-
+        # Normalise the policy spec (name / legacy alias) to its registry
+        # name so downstream consumers and snapshots see one canonical
+        # spelling.
         object.__setattr__(self, "policy", canonical_policy_name(self.policy))
         if self.index_entries < 1:
             raise ValueError("index_entries must be >= 1")

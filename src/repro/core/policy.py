@@ -38,10 +38,9 @@ Policies are selected **by name** through a process-global registry::
 
 Built-in names: ``clampi-full`` (paper default, bit-identical to the
 historical score engine), ``clampi-temporal``, ``clampi-positional``,
-``lru``, ``slru``, ``gdsf`` and ``tinylfu``.  The legacy
-:class:`~repro.core.config.EvictionPolicy` enum values remain accepted
-everywhere a name is (``FULL`` → ``clampi-full`` and so on) but are
-**deprecated** aliases; new code should pass registry names.
+``lru``, ``slru``, ``gdsf`` and ``tinylfu``.  The bare score names
+``full``/``temporal``/``positional`` are accepted everywhere a name is,
+as aliases of the three ``clampi-*`` policies (:data:`LEGACY_ALIASES`).
 
 Determinism: policies must not read wall clocks or global RNG state
 (lint rule ANL007) — any randomness must come from the seed handed to
@@ -50,11 +49,9 @@ Determinism: policies must not read wall clocks or global RNG state
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Type
 
-from repro.core.config import EvictionPolicy
 from repro.core.scores import full_score, positional_score, temporal_score
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -63,7 +60,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Default policy name (the paper's full-score engine).
 DEFAULT_POLICY = "clampi-full"
 
-#: Legacy EvictionPolicy enum values / bare score names -> registry names.
+#: Bare score names -> registry names.  They reach the program from outside
+#: (window info, the CLAMPI_POLICY environment variable), so they stay.
 LEGACY_ALIASES = {
     "full": "clampi-full",
     "temporal": "clampi-temporal",
@@ -399,25 +397,15 @@ def available_policies() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def canonical_policy_name(spec: "str | EvictionPolicy") -> str:
+def canonical_policy_name(spec: str) -> str:
     """Resolve any accepted policy spelling to its registry name.
 
-    Accepts registry names verbatim, the legacy bare score names
-    (``"full"``/``"temporal"``/``"positional"``) and the deprecated
-    :class:`EvictionPolicy` enum values.  Unknown names raise
+    Accepts registry names verbatim and the legacy bare score names
+    (``"full"``/``"temporal"``/``"positional"``).  Unknown names raise
     ``ValueError`` listing what is registered.
     """
-    if isinstance(spec, EvictionPolicy):
-        warnings.warn(
-            f"EvictionPolicy.{spec.name} is deprecated; pass the registry "
-            f"name {LEGACY_ALIASES[spec.value]!r} instead "
-            "(see docs/api.md, policy registry)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        spec = spec.value
     if not isinstance(spec, str):
-        raise TypeError(f"policy must be a str or EvictionPolicy, got {spec!r}")
+        raise TypeError(f"policy must be a str, got {spec!r}")
     name = LEGACY_ALIASES.get(spec, spec)
     if name not in _REGISTRY:
         raise ValueError(
@@ -426,8 +414,8 @@ def canonical_policy_name(spec: "str | EvictionPolicy") -> str:
     return name
 
 
-def make_policy(spec: "str | EvictionPolicy", seed: int = 0) -> CachePolicy:
-    """Instantiate the policy named by ``spec`` (name, alias or enum)."""
+def make_policy(spec: str, seed: int = 0) -> CachePolicy:
+    """Instantiate the policy named by ``spec`` (name or alias)."""
     name = canonical_policy_name(spec)
     pol = _REGISTRY[name](seed=seed)
     if pol.name != name:

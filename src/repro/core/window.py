@@ -28,14 +28,14 @@ closure (only intra-epoch reuse); ALWAYS_CACHE never invalidates;
 USER_DEFINED is ALWAYS_CACHE plus the explicit :meth:`invalidate`
 (CLAMPI_Invalidate).
 
-The get_c flow is orchestrated by the staged pipeline of
-:mod:`repro.rma.cache` (Accounting → Degradation → Consult → Miss →
-Adapt): each concern — sequence accounting, quarantine, the cost-charged
-index consult, miss insertion/eviction, adaptation — lives in exactly one
-stage; this class keeps the structural machinery (index, storage,
-evictor) the stages drive.  :meth:`CachedWindow.get_batch` serves N
-requests through the same stages with one accounting event and one
-batched event for the miss traffic.
+The get_c flow is one straight-line sequence,
+:meth:`repro.rma.cache.CachePipeline.serve`: sequence accounting, crash
+handling, quarantine, the cost-charged index consult, miss
+insertion/eviction, then the access event and adaptation.  This class
+keeps the structural machinery (index, storage, evictor) that sequence
+drives.  :meth:`CachedWindow.get_batch` serves N requests through the
+same sequence with one accounting event and one batched event for the
+miss traffic.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from repro.obs import (
 )
 from repro.rma.cache import (
     CacheGetRequest,
-    build_cache_pipeline,
+    CachePipeline,
     describe_cached_get,
     emit_cache_batch,
     serve_write,
@@ -148,9 +148,9 @@ class CachedWindow:
             self.obs.attach(
                 CallbackSink(self._timeline_sample, kinds=(CACHE_EPOCH,))
             )
-        #: the staged get_c pipeline (repro.rma.cache) every cached get
-        #: flows through; stages drive the structures kept on this class
-        self._get_pipe = build_cache_pipeline()
+        #: the get_c pipeline (repro.rma.cache) every cached get flows
+        #: through; it drives the structures kept on this class
+        self._get_pipe = CachePipeline()
         window.add_epoch_close_hook(self._on_epoch_close)
 
     def _timeline_sample(self, event: Event) -> None:
@@ -392,7 +392,7 @@ class CachedWindow:
 
         ``requests`` holds ``(origin, target_rank, target_disp[, count
         [, datatype]])`` tuples.  Every element flows through the same
-        staged pipeline as a scalar :meth:`get` — classification, cost
+        pipeline as a scalar :meth:`get` — classification, cost
         charges, quarantine probes and adaptation checks are per-element,
         so virtual time is bit-identical to N scalar gets — but telemetry
         is batched: misses (and degraded/partial-hit refetches) issue
@@ -424,7 +424,7 @@ class CachedWindow:
         return results
 
     def _consult(self, req: CacheGetRequest) -> int | None:
-        """Cost-charged index consult (the Consult stage's ``before``)."""
+        """Cost-charged index consult; serves full and partial hits."""
         self.cost.lookup()
         entry, _probes = self._index.lookup((req.target, req.disp))
         if entry is None or not isinstance(entry, CacheEntry):
@@ -756,9 +756,8 @@ class CachedWindow:
     def _serve_degraded(self, req: CacheGetRequest) -> int:
         """Quarantined get: straight to the network, classified FAILING.
 
-        Accounting emission and the probe countdown run in the Accounting
-        and Degradation stages' ``after`` passes, in that (telemetry
-        contract) order.
+        The access event and the probe countdown run after it in
+        :meth:`CachePipeline.serve`, in that (telemetry contract) order.
         """
         nbytes = self._raw_get(req)
         self.stats.record_access(AccessType.FAILING)
@@ -834,12 +833,12 @@ class CachedWindow:
                 )
 
     def _serve_failed_target(self, req: CacheGetRequest) -> int:
-        """A get towards a crashed rank (the CacheRecovery stage's serve).
+        """A get towards a crashed rank, served by the crash handling.
 
         ``serve-stale`` serves exact full hits from the rank's pinned
         entries; anything else — and every get in ``invalidate`` mode —
         is classified FAILING and fails with a deferred
-        :class:`TargetFailedError` (raised after the accounting passes).
+        :class:`TargetFailedError` (raised after the closing passes).
         """
         if self.recovery_mode == "serve-stale":
             self.cost.lookup()

@@ -6,8 +6,8 @@ an RMA operation.  Ops are *described* once
 dtype, origin identity, policy switches) and *issued* through a pipeline
 whose interceptors each own exactly one concern — retry/backoff, fault
 injection, simulated transport (byte movement + cost-model pricing),
-telemetry emission, epoch closure.  The CLaMPI cached-get path composes
-the same idea as a staged pipeline (:mod:`repro.rma.cache`).
+telemetry emission, epoch closure.  The CLaMPI cached get runs one
+fixed straight-line sequence (:mod:`repro.rma.cache`).
 
 Future backends (sharding, async progress, multi-transport) plug in here:
 a new transport is one interceptor swap, not a window rewrite.  See
@@ -16,16 +16,8 @@ invariants, ``docs/api.md`` for the descriptor / ``get_batch`` API.
 """
 
 from repro.rma.cache import (
-    Accounting,
-    Adapt,
     CacheGetRequest,
     CachePipeline,
-    CacheRecovery,
-    CacheStage,
-    Consult,
-    Degradation,
-    Miss,
-    build_cache_pipeline,
     describe_cached_get,
     emit_cache_batch,
     serve_write,
@@ -57,21 +49,14 @@ from repro.rma.interceptors import (
 from repro.rma.pipeline import Handler, Interceptor, Pipeline
 
 __all__ = [
-    "Accounting",
-    "Adapt",
     "CacheGetRequest",
     "CachePipeline",
-    "CacheRecovery",
-    "CacheStage",
     "Completion",
-    "Consult",
     "DATA_KINDS",
-    "Degradation",
     "EpochClose",
     "FaultInjection",
     "Handler",
     "Interceptor",
-    "Miss",
     "Move",
     "Obs",
     "OpDescriptor",
@@ -80,7 +65,6 @@ __all__ = [
     "Recovery",
     "Retry",
     "SYNC_KINDS",
-    "build_cache_pipeline",
     "build_data_pipeline",
     "build_sync_pipeline",
     "describe_accumulate",

@@ -189,16 +189,19 @@ class Move(Interceptor):
         src = desc.obuf.view(np_dtype)
         dst = tbuf[desc.base : desc.base + desc.nbytes].view(np_dtype)
         op = desc.acc_op
-        if op == "sum":
-            dst += src
-        elif op == "max":
-            np.maximum(dst, src, out=dst)
-        elif op == "min":
-            np.minimum(dst, src, out=dst)
-        elif op == "replace":
-            dst[:] = src
-        else:
-            raise WindowError(f"unknown accumulate op: {op}")
+        # Float payloads may hold any bit pattern (NaN, inf); the IEEE
+        # result is the defined outcome, so numpy's warnings are noise.
+        with np.errstate(invalid="ignore", over="ignore"):
+            if op == "sum":
+                dst += src
+            elif op == "max":
+                np.maximum(dst, src, out=dst)
+            elif op == "min":
+                np.minimum(dst, src, out=dst)
+            elif op == "replace":
+                dst[:] = src
+            else:
+                raise WindowError(f"unknown accumulate op: {op}")
 
 
 class FaultInjection(Interceptor):
@@ -423,131 +426,19 @@ class EpochClose(Interceptor):
         return run
 
 
-def _compile_fault_free_data(window: "Window") -> Handler:
-    """Bind-time fusion of the fault-free data chain into one closure.
-
-    On a window with no injector and no crash plan, Recovery, Retry and
-    FaultInjection all elide themselves at bind time, leaving
-    Move -> Pricing -> Obs — three closure frames per op.  This compiles
-    the surviving stages into a single handler executing the exact same
-    statements in the exact same order (including the Pricing per-target
-    link memo and the NET_TRANSFER-before-per-op-event emission order), so
-    virtual time and telemetry are bit-identical to the unfused chain.
-    """
-    from repro.mpi.window import _PendingOp
-
-    perf = window._comm.perf
-    rank = window._comm.rank
-    obs_bus = window._obs
-    links: dict[int, tuple] = {}
-
-    def run(desc: OpDescriptor) -> OpDescriptor:
-        # -- Move: bounds check + payload bytes (zero time) -------------
-        tbuf = window._group.buffers[desc.target]
-        if desc.kind == "accumulate":
-            Move._bounds_accumulate(desc, tbuf)
-            Move._apply_accumulate(desc, tbuf)
-        else:
-            Move._bounds(desc, tbuf)
-            if desc.kind == "get":
-                Move._gather(desc, tbuf)
-            else:
-                Move._scatter(desc, tbuf)
-        desc.result = desc.nbytes
-        # -- Pricing: charge the network cost model ---------------------
-        proc = window._comm.proc
-        target = desc.target
-        nbytes = desc.nbytes
-        link = links.get(target)
-        if link is None:
-            link = links[target] = perf.link(rank, target)
-        dist, issue, alpha, bw = link
-        proc.advance(issue)
-        duration = alpha + nbytes / bw
-        desc.pending_op = _PendingOp(target, proc.clock, duration)
-        window._pending.append(desc.pending_op)
-        window._bytes_transferred += nbytes
-        bbd = window._bytes_by_distance
-        bbd[dist] = bbd.get(dist, 0) + nbytes
-        if obs_bus.wants(NET_TRANSFER):
-            window._emit(
-                NET_TRANSFER,
-                duration=duration,
-                target=target,
-                nbytes=nbytes,
-                distance=dist.name,
-                issue=issue,
-            )
-        # -- Obs: one per-op event, none when gated off -----------------
-        if not desc.quiet and obs_bus.wants(desc.emit_kind):
-            attrs = {
-                "target": target,
-                "disp": desc.disp,
-                "nbytes": nbytes,
-            }
-            if desc.kind == "accumulate":
-                attrs["op"] = desc.acc_op
-            attrs["base"] = desc.base
-            attrs["span"] = desc.span
-            attrs["origin"] = int(desc.obuf.__array_interface__["data"][0])
-            attrs["onbytes"] = nbytes
-            window._emit(desc.emit_kind, **attrs)
-        return desc
-
-    return run
-
-
-def _compile_fault_free_sync(window: "Window") -> Handler:
-    """Bind-time fusion of the fault-free sync chain into one closure.
-
-    Fuses Completion -> Obs -> EpochClose (the stages surviving bind-time
-    elision on a fault-free window) with statement order preserved.
-    """
-    obs_bus = window._obs
-
-    def run(desc: OpDescriptor) -> OpDescriptor:
-        # -- Completion: advance past the selected pending ops ----------
-        if desc.completes:
-            proc = window._comm.proc
-            t0 = proc.clock
-            window._complete(desc.targets)
-            if desc.barrier:
-                window._comm.barrier()
-            if desc.finalize is not None:
-                desc.finalize()
-            desc.duration = proc.clock - t0
-        # -- Obs: the sync op's pre-built attrs + measured extent -------
-        if not desc.quiet and obs_bus.wants(desc.emit_kind):
-            window._emit(
-                desc.emit_kind, duration=desc.duration, **desc.emit_attrs
-            )
-        # -- EpochClose: CLaMPI materialisation hooks, bump eph ---------
-        if desc.epoch_close:
-            window._close_epoch(desc.close_targets)
-        return desc
-
-    return run
-
-
-def _fault_free(window: "Window") -> bool:
-    """No injector and no crash plan: every resilience frame is elidable."""
-    return window._faults is None and not window._comm.proc.can_fail
-
-
 def build_data_pipeline(window: "Window") -> Pipeline:
     """The standard data-op chain (see module docstring for ordering)."""
-    icpts = [Recovery(), Retry(), Move(), FaultInjection(), Pricing(), Obs()]
-    if _fault_free(window):
-        return Pipeline(window, icpts, handler=_compile_fault_free_data(window))
-    return Pipeline(window, icpts)
+    return Pipeline(
+        window, [Recovery(), Retry(), Move(), FaultInjection(), Pricing(), Obs()]
+    )
 
 
 def build_sync_pipeline(window: "Window") -> Pipeline:
     """The standard sync-op chain."""
-    icpts = [Recovery(), Retry(), FaultInjection(), Completion(), Obs(), EpochClose()]
-    if _fault_free(window):
-        return Pipeline(window, icpts, handler=_compile_fault_free_sync(window))
-    return Pipeline(window, icpts)
+    return Pipeline(
+        window,
+        [Recovery(), Retry(), FaultInjection(), Completion(), Obs(), EpochClose()],
+    )
 
 
 def emit_get_batch(window: "Window", descs: list[OpDescriptor]) -> None:

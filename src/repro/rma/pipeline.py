@@ -18,7 +18,9 @@ the order the concern semantics require (see ``docs/architecture.md``):
 
 Binding happens ahead of time (``bind`` returns a closure over the next
 stage), so issuing an op costs one call per interceptor and zero
-per-issue allocation beyond the descriptor itself.
+per-issue allocation beyond the descriptor itself.  An interceptor whose
+concern cannot fire on a window (no fault injector, no crash plan)
+returns ``call_next`` from ``bind`` and costs nothing per op.
 """
 
 from __future__ import annotations
@@ -50,33 +52,14 @@ def _terminal(desc: OpDescriptor) -> OpDescriptor:
 
 
 class Pipeline:
-    """An interceptor chain bound to one window.
+    """An interceptor chain bound to one window."""
 
-    ``handler`` overrides per-stage binding with a pre-compiled (fused)
-    closure semantically equivalent to the declared chain — bind-time
-    chain compilation for hot-path windows (fault-free data/sync ops).
-    The ``interceptors``/``stages`` introspection still reports the
-    declared chain either way.
-    """
-
-    def __init__(
-        self,
-        window: "Window",
-        interceptors: list[Interceptor],
-        handler: Handler | None = None,
-    ):
+    def __init__(self, window: "Window", interceptors: list[Interceptor]):
         self.interceptors = tuple(interceptors)
-        self.fused = handler is not None
-        if handler is None:
-            handler = _terminal
-            for icpt in reversed(self.interceptors):
-                handler = icpt.bind(window, handler)
+        handler: Handler = _terminal
+        for icpt in reversed(self.interceptors):
+            handler = icpt.bind(window, handler)
         self._handler = handler
-
-    @property
-    def stages(self) -> tuple[str, ...]:
-        """Interceptor names in issue order (for tests / introspection)."""
-        return tuple(i.name for i in self.interceptors)
 
     def issue(self, desc: OpDescriptor) -> OpDescriptor:
         """Run ``desc`` through the chain; returns the same descriptor."""

@@ -166,11 +166,6 @@ class TestPolicyResolution:
         cfg = clampi.resolve_config(info={clampi.INFO_POLICY_KEY: "full"})
         assert cfg.policy == "clampi-full"
 
-    def test_enum_kwarg_warns_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = clampi.resolve_config(policy=clampi.EvictionPolicy.TEMPORAL)
-        assert cfg.policy == "clampi-temporal"
-
     def test_bad_policy_raises(self):
         with pytest.raises(ValueError):
             clampi.resolve_config(policy="no-such")

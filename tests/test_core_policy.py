@@ -13,7 +13,6 @@ import pytest
 
 from repro import clampi, obs
 from repro.core import policy as pol
-from repro.core.config import EvictionPolicy
 from repro.core.entry import CacheEntry
 from repro.mpi.datatypes import BYTE
 from repro.mpi import SimMPI
@@ -81,12 +80,6 @@ class TestRegistry:
         assert pol.canonical_policy_name("full") == "clampi-full"
         assert pol.canonical_policy_name("temporal") == "clampi-temporal"
         assert pol.canonical_policy_name("positional") == "clampi-positional"
-
-    def test_canonical_enum_warns_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="EvictionPolicy.FULL"):
-            assert (
-                pol.canonical_policy_name(EvictionPolicy.FULL) == "clampi-full"
-            )
 
     def test_canonical_unknown_raises_with_listing(self):
         with pytest.raises(ValueError, match="registered"):
@@ -417,7 +410,7 @@ def test_rejected_misses_still_return_correct_data():
 def test_default_policy_virtual_time_unchanged_by_subsystem():
     """clampi-full through the policy engine == the historical engine.
 
-    The legacy enum spelling and the registry name must produce identical
+    The legacy bare alias and the registry name must produce identical
     virtual times and stats (bit-identical figures guarantee).
     """
 
@@ -444,7 +437,6 @@ def test_default_policy_virtual_time_unchanged_by_subsystem():
         return SimMPI(nprocs=2).run(program)[0]
 
     t_name, snap_name = run_once("clampi-full")
-    with pytest.warns(DeprecationWarning):
-        t_enum, snap_enum = run_once(EvictionPolicy.FULL)
-    assert t_name == t_enum
-    assert snap_name == snap_enum
+    t_alias, snap_alias = run_once("full")
+    assert t_name == t_alias
+    assert snap_name == snap_alias

@@ -1,6 +1,6 @@
 """Epoch-consistent cache recovery after crash-stop failures.
 
-The ``CacheRecovery`` stage (docs/resilience.md) reacts to an observed
+The cache's crash handling (docs/resilience.md) reacts to an observed
 rank death under one of two modes: ``invalidate`` drops the dead rank's
 entries (gets then fail with ``TargetFailedError``), ``serve-stale`` pins
 epoch-consistent entries read-only so the data stays servable from cache.
@@ -11,7 +11,7 @@ epoch-close invalidation; explicit ``clampi.invalidate`` still drops them.
 import numpy as np
 import pytest
 
-from repro import clampi, recovery
+from repro import clampi, obs, recovery
 from repro.faults import FaultPlan, FaultRule
 from repro.mpi.errors import TargetFailedError
 from repro.mpi.simmpi import SimMPI
@@ -241,6 +241,37 @@ class TestInvalidateMode:
             assert snap["recovery_pinned"] == 0
             assert snap["failed_target_gets"] == 1
             assert snap["recovered_gets"] == 0
+
+
+    def test_failing_access_recorded_before_error(self):
+        """The refused get is classified and emitted, then it raises."""
+
+        def program(mpi):
+            cfg = clampi.Config(mode=clampi.Mode.ALWAYS_CACHE)
+            win = clampi.window_allocate(mpi.comm_world, 64, config=cfg)
+            if mpi.rank == VICTIM:
+                _fill_and_die(mpi, win)
+                return None
+            recovery.barrier(mpi.comm_world)
+            buf = np.zeros(4)
+            win.lock_all()
+            mpi.compute(2e-2)
+            before = len(sink.events(kind=obs.CACHE_ACCESS, rank=mpi.rank))
+            with pytest.raises(TargetFailedError):
+                win.get(buf, VICTIM, 0)
+            accesses = sink.events(kind=obs.CACHE_ACCESS, rank=mpi.rank)
+            snap = clampi.stats(win).snapshot()
+            win.unlock_all()
+            assert len(accesses) == before + 1
+            assert accesses[-1].attrs["access"] == "failing"
+            assert accesses[-1].attrs["target"] == VICTIM
+            return snap
+
+        with obs.capture() as sink:
+            snaps = _run(program)
+        for snap in filter(None, snaps):
+            assert snap["failing"] == 1
+            assert snap["failed_target_gets"] == 1
 
 
 class TestConfigChannels:

@@ -81,6 +81,32 @@ class TestQuarantine:
             e.attrs["probe_in"] == CFG.quarantine_probe_interval for e in entered
         )
 
+    def test_probe_access_event_precedes_reenable(self):
+        """The probe get's ``cache.access`` comes before ``re-enabled``.
+
+        The get that ends the quarantine is a degraded (FAILING) get:
+        its access event is emitted first, then the probe countdown
+        re-enables the cache.  Exactly one probe window of degraded gets
+        lies between ``quarantined`` and ``re-enabled``.
+        """
+        with obs.capture() as sink:
+            SimMPI(nprocs=2, faults=PRESSURE).run(_reuse_program)
+        cache_kinds = (obs.CACHE_ACCESS, obs.CACHE_DEGRADED)
+        for rank in range(2):
+            events = [e for e in sink.events(rank=rank) if e.kind in cache_kinds]
+            states = [e.attrs.get("state") for e in events]
+            entered = states.index("quarantined")
+            left = states.index("re-enabled")
+            probe = events[entered + 1 : left]
+            assert len(probe) == CFG.quarantine_probe_interval
+            assert all(e.kind == obs.CACHE_ACCESS for e in probe)
+            assert all(e.attrs["access"] == "failing" for e in probe)
+            # Nothing of this rank's lies between the probe get's access
+            # event and the re-enable: no network event, no cache event.
+            mine = sink.events(rank=rank)
+            at = next(i for i, e in enumerate(mine) if e is events[left])
+            assert mine[at - 1] is probe[-1]
+
     def test_sporadic_faults_below_threshold_never_quarantine(self):
         """Isolated allocation faults degrade one access, not the cache."""
         sporadic = FaultPlan.of(FaultRule("alloc", probability=0.05), seed=8)
